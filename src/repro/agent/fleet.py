@@ -18,16 +18,10 @@ from repro import trace as _trace
 from repro.agent.aggregate import Aggregator, AggregatorSink
 from repro.agent.batch import AgentReport
 from repro.agent.scheduler import AgentConfig, MonitorAgent, SyntheticLoad
-from repro.core.perfctr.counters import RetryPolicy
 from repro.hw.arch import available, create_machine
 from repro.oskern.access import ACCESS_MODES, open_backend
 from repro.oskern.msr_driver import FaultPlan
-
-#: Backoff-free retries: a fleet soak absorbs thousands of injected
-#: transient faults; sleeping between retries would only slow the
-#: simulation down without changing any outcome.
-SOAK_RETRIES = RetryPolicy(max_attempts=8, backoff_base=0.0,
-                           backoff_cap=0.0)
+from repro.retry import SOAK_RETRIES
 
 
 @dataclass(frozen=True)

@@ -148,13 +148,6 @@ def sort_key(diag: Diagnostic) -> tuple:
             diag.code, diag.message)
 
 
-def worst_severity(diags: list[Diagnostic]) -> Severity | None:
-    for severity in (Severity.ERROR, Severity.WARNING, Severity.NOTE):
-        if any(d.severity is severity for d in diags):
-            return severity
-    return None
-
-
 def counts(diags: list[Diagnostic]) -> dict[str, int]:
     out = {"errors": 0, "warnings": 0, "notes": 0}
     for d in diags:

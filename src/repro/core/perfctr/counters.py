@@ -25,6 +25,7 @@ from repro.hw.events import EventDef, EventTable
 from repro.hw.spec import ArchSpec
 from repro.core.perfctr.events import EventOptions, EventSpec
 from repro.oskern.msr_driver import MsrDriver
+from repro.retry import MSR_RETRIES, RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -152,25 +153,6 @@ def counter_delta(current: float, previous: float, width: int) -> float:
 # programming through the msr driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient msr faults.
-
-    A transient fault (``EAGAIN``/``EIO`` with ``transient=True``) is
-    retried up to ``max_attempts`` times total, sleeping
-    ``min(backoff_cap, backoff_base * 2**retry)`` between attempts.
-    The defaults keep the worst-case stall per operation under ~3 ms
-    while surviving the fault rates a loaded system realistically
-    shows.  Non-transient faults are never retried."""
-
-    max_attempts: int = 8
-    backoff_base: float = 0.0001   # seconds before the first retry
-    backoff_cap: float = 0.002     # per-retry sleep ceiling
-
-    def delay(self, retry: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2 ** retry))
-
-
 class CounterProgrammer:
     """Programs, starts, stops and reads one CPU's share of a setup.
 
@@ -192,7 +174,7 @@ class CounterProgrammer:
         self.driver = driver
         self.counters = counters
         self.spec = counters.spec
-        self.policy = policy or RetryPolicy()
+        self.policy = policy or MSR_RETRIES
         self._metrics = driver.metrics
         self._retries_base = self._metrics.value("msr.io.retries")
         self.backoff_seconds = 0.0  # total time spent backing off

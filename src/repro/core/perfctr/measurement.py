@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro import trace as _trace
 from repro.core.affinity import parse_corelist
-from repro.core.perfctr.counters import (Assignment, CounterMap, RetryPolicy,
+from repro.core.perfctr.counters import (Assignment, CounterMap,
                                          auto_fixed_assignments,
                                          counter_delta, validate_assignments)
 from repro.core.perfctr.events import is_event_string, parse_event_string
@@ -45,6 +45,7 @@ from repro.errors import (CounterError, DegradedError, MsrIOError,
 from repro.hw.machine import SimMachine
 from repro.oskern.access import AccessBackend, MsrBackend, backend_for
 from repro.oskern.msr_driver import MsrDriver
+from repro.retry import RetryPolicy
 
 
 @dataclass
@@ -584,11 +585,3 @@ class LikwidPerfCtr:
     def available_events(self) -> list[str]:
         return self.machine.spec.events.names()
 
-
-def cycles_channel_count(result: MeasurementResult, cpu: int) -> float:
-    """Unhalted core cycles on a CPU (helper for tests)."""
-    for name in ("CPU_CLK_UNHALTED_CORE", "CPU_CLOCKS_UNHALTED",
-                 "PM_RUN_CYC"):
-        if name in result.counts[cpu]:
-            return result.counts[cpu][name]
-    return 0.0

@@ -35,6 +35,7 @@ from repro.hw.machine import SimMachine
 from repro.oskern.journal import MsrJournal, state_mutating_addresses
 from repro.oskern.locks import SocketLockTable
 from repro.oskern.proc import SimProcessTable
+from repro.planspec import check_rates, parse_plan
 from repro.trace.metrics import MetricsRegistry
 
 
@@ -126,58 +127,29 @@ class FaultPlan:
     sigint_after: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("read_fault_rate", "write_fault_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        check_rates(self)
         if self.transient_errno not in ("EAGAIN", "EIO"):
             raise ValueError(
                 f"transient_errno must be EAGAIN or EIO, "
                 f"got {self.transient_errno!r}")
-        if self.overflow_after is not None and self.overflow_after < 1:
-            raise ValueError("overflow_after must be >= 1")
-        for name in ("kill_after", "sigint_after"):
+        for name in ("overflow_after", "kill_after", "sigint_after"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
     @classmethod
     def from_string(cls, text: str) -> "FaultPlan":
-        """Parse the CLI syntax: comma-separated ``key=value`` pairs.
-
-        Keys are the field names (``sticky`` may repeat and accepts
-        hex addresses; any other repeated key is rejected rather than
-        silently keeping the last value)::
+        """Parse the shared ``key=value`` CLI grammar
+        (:mod:`repro.planspec`).  ``sticky`` is short for
+        ``sticky_addresses`` and may repeat::
 
             seed=7,read_fault_rate=0.1
             unload_after=20
             sticky=0x38F,sticky=0xC1
             overflow_after=1000
         """
-        kwargs: dict = {}
-        sticky: list[int] = []
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(f"bad fault spec {part!r} (need key=value)")
-            key, _, value = part.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in ("sticky", "sticky_addresses") and key in kwargs:
-                raise ValueError(f"duplicate fault key {key!r}")
-            if key in ("sticky", "sticky_addresses"):
-                sticky.append(int(value, 0))
-            elif key in ("read_fault_rate", "write_fault_rate"):
-                kwargs[key] = float(value)
-            elif key in ("seed", "unload_after", "revoke_write_after",
-                         "overflow_after", "kill_after", "sigint_after"):
-                kwargs[key] = int(value, 0)
-            elif key == "transient_errno":
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown fault key {key!r}")
-        if sticky:
-            kwargs["sticky_addresses"] = tuple(sticky)
-        return cls(**kwargs)
+        return parse_plan(cls, text, what="fault",
+                          aliases={"sticky": "sticky_addresses"})
 
 
 @dataclass

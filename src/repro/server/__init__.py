@@ -9,6 +9,7 @@ exact PR 3 measurement pipeline and returns results bit-identical to
 a standalone run.
 """
 
+from repro.retry import NO_RETRY, RetryPolicy
 from repro.server.chaos import ChaosPlan, ChaosState
 from repro.server.client import (ServerClient, SyncServerClient,
                                  parse_endpoint)
@@ -18,7 +19,6 @@ from repro.server.loadtest import (LoadTestConfig, LoadTestReport,
                                    generate_requests, run_load_test)
 from repro.server.protocol import (ProtocolServer, recover_protocol,
                                    request_from_dict, request_to_dict)
-from repro.server.retry import NO_RETRY, RetryPolicy
 from repro.server.scheduler import (NodeResidue, NodeScheduler,
                                     ServerSession, SessionRequest,
                                     SessionState)

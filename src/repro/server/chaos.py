@@ -33,7 +33,7 @@ Fault kinds (all independent, all optional; rates are per decision):
 * ``delay_rate`` / ``delay_s`` — the request is delayed by
   ``delay_s`` real seconds before sending.
 
-CLI syntax mirrors ``FaultPlan.from_string``::
+CLI syntax is the shared plan grammar of :mod:`repro.planspec`::
 
     seed=3,refuse=0.05,drop_request=0.05,drop_reply=0.05,
     torn_reply=0.05,duplicate=0.1
@@ -45,19 +45,13 @@ import random
 from dataclasses import dataclass
 
 from repro import trace as _trace
-
-#: Short CLI aliases -> canonical field names.
-_ALIASES = {
-    "refuse": "refuse_rate",
-    "drop_request": "drop_request_rate",
-    "drop_reply": "drop_reply_rate",
-    "torn_reply": "torn_reply_rate",
-    "duplicate": "duplicate_rate",
-    "delay": "delay_rate",
-}
+from repro.planspec import check_rates, parse_plan
 
 _RATE_FIELDS = ("refuse_rate", "drop_request_rate", "drop_reply_rate",
                 "torn_reply_rate", "duplicate_rate", "delay_rate")
+
+#: Short CLI aliases: each rate field without its ``_rate`` suffix.
+_ALIASES = {name.removesuffix("_rate"): name for name in _RATE_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -74,11 +68,7 @@ class ChaosPlan:
     delay_s: float = 0.0005
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} must be in [0, 1], got {rate}")
+        check_rates(self)
         if self.delay_s < 0.0:
             raise ValueError(
                 f"delay_s must be >= 0, got {self.delay_s}")
@@ -89,30 +79,11 @@ class ChaosPlan:
 
     @classmethod
     def from_string(cls, text: str) -> "ChaosPlan":
-        """Parse the CLI syntax: comma-separated ``key=value`` pairs.
-
-        Keys are the field names or their short aliases (``refuse``,
-        ``drop_request``, ``drop_reply``, ``torn_reply``,
-        ``duplicate``, ``delay``); a repeated key is rejected rather
-        than silently keeping the last value; empty segments are
-        tolerated (trailing commas from shell composition)."""
-        kwargs: dict = {}
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"bad chaos spec {part!r} (need key=value)")
-            key, _, value = part.partition("=")
-            key = _ALIASES.get(key.strip(), key.strip())
-            value = value.strip()
-            if key in kwargs:
-                raise ValueError(f"duplicate chaos key {key!r}")
-            if key in _RATE_FIELDS or key == "delay_s":
-                kwargs[key] = float(value)
-            elif key == "seed":
-                kwargs[key] = int(value, 0)
-            else:
-                raise ValueError(f"unknown chaos key {key!r}")
-        return cls(**kwargs)
+        """Parse the shared ``key=value`` CLI grammar
+        (:mod:`repro.planspec`).  Keys are the field names or their
+        short aliases (``refuse``, ``drop_request``, ``drop_reply``,
+        ``torn_reply``, ``duplicate``, ``delay``)."""
+        return parse_plan(cls, text, what="chaos", aliases=_ALIASES)
 
     def arm(self, stream_id: str) -> "ChaosState":
         """Arm the plan for one connection stream; the rng is keyed
@@ -143,48 +114,35 @@ class ChaosState:
         self.rng = rng
         self.injected: dict[str, int] = {}
 
-    def _inject(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        _trace.incr(f"server.chaos.{kind}")
-
-    def refuse_connect(self) -> bool:
-        if self.plan.refuse_rate > 0.0 \
-                and self.rng.random() < self.plan.refuse_rate:
-            self._inject("refused")
+    def _fires(self, rate: float, kind: str) -> bool:
+        """One fault decision: draws only when *rate* is nonzero."""
+        if rate > 0.0 and self.rng.random() < rate:
+            self.injected[kind] = self.injected.get(kind, 0) + 1
+            _trace.incr(f"server.chaos.{kind}")
             return True
         return False
 
+    def refuse_connect(self) -> bool:
+        return self._fires(self.plan.refuse_rate, "refused")
+
     def request_fate(self) -> str:
-        plan = self.plan
-        if plan.drop_request_rate > 0.0 \
-                and self.rng.random() < plan.drop_request_rate:
-            self._inject("torn_request")
+        if self._fires(self.plan.drop_request_rate, "torn_request"):
             return TORN_REQUEST
-        if plan.duplicate_rate > 0.0 \
-                and self.rng.random() < plan.duplicate_rate:
-            self._inject("duplicated")
+        if self._fires(self.plan.duplicate_rate, "duplicated"):
             return DUPLICATE
         return DELIVER
 
     def reply_fate(self) -> str:
-        plan = self.plan
-        if plan.drop_reply_rate > 0.0 \
-                and self.rng.random() < plan.drop_reply_rate:
-            self._inject("dropped_reply")
+        if self._fires(self.plan.drop_reply_rate, "dropped_reply"):
             return DROP_REPLY
-        if plan.torn_reply_rate > 0.0 \
-                and self.rng.random() < plan.torn_reply_rate:
-            self._inject("torn_reply")
+        if self._fires(self.plan.torn_reply_rate, "torn_reply"):
             return TORN_REPLY
         return DELIVER
 
     def delay(self) -> float:
         """Seconds of injected latency before this send (0.0 = none)."""
-        plan = self.plan
-        if plan.delay_rate > 0.0 \
-                and self.rng.random() < plan.delay_rate:
-            self._inject("delayed")
-            return plan.delay_s
+        if self._fires(self.plan.delay_rate, "delayed"):
+            return self.plan.delay_s
         return 0.0
 
     def tear(self, data: bytes) -> bytes:

@@ -8,15 +8,18 @@ Two clients over the same JSON-lines protocol:
   synchronous callers: ``likwid-server submit`` and the agent's
   :class:`~repro.server.ingest.ServerIngestSink`.
 
-Both are **retrying** clients: every call runs under a shared
-:class:`~repro.server.retry.RetryPolicy` (seeded-jitter exponential
-backoff keyed by the client id), reconnects automatically after any
+Both are thin I/O shells over one sans-IO core, :class:`_ClientCore`:
+one attempt is the generator :meth:`_ClientCore._exchange`, which
+yields the shell's connect/send/readline/sleep steps.
+
+Both are **retrying** clients: every call runs under a
+:class:`~repro.retry.RetryPolicy` (seeded-jitter exponential backoff
+keyed by the client id), reconnects automatically after any
 transport failure, and honours a per-call wall-clock ``deadline``.
-``submit``/``wait``/``cancel``/``ingest`` carry idempotency keys
-(``client`` + monotonically increasing ``seq``, stamped once per
-logical operation and stable across its retries), so a retry after a
-lost reply lands on the server's dedup window instead of re-executing
-— the invariant the chaos tests hammer.
+``submit``/``cancel``/``ingest`` carry idempotency keys (``client`` +
+monotonically increasing ``seq``, stamped once per logical operation
+and stable across its retries), so a retry after a lost reply lands
+on the server's dedup window instead of re-executing.
 
 A :class:`~repro.server.chaos.ChaosPlan` can be armed on either
 client; faults are injected at the stream/socket seam (see the chaos
@@ -37,9 +40,9 @@ import time
 
 from repro import trace as _trace
 from repro.errors import ChaosError, ServerError
+from repro.retry import RetryPolicy, retryable
 from repro.server import chaos as _chaos
 from repro.server.chaos import ChaosPlan
-from repro.server.retry import RetryPolicy, retryable
 from repro.server.scheduler import SessionRequest, request_to_dict
 
 _CLIENT_IDS = itertools.count(1)
@@ -53,6 +56,12 @@ def _reply_error(reply: dict) -> ServerError:
     return ServerError(reply.get("error", "server error"),
                        code=reply.get("code", "server-error"),
                        retryable=bool(reply.get("retryable", False)))
+
+
+def _checked(reply: dict) -> dict:
+    if not reply.get("ok"):
+        raise _reply_error(reply)
+    return reply
 
 
 class _CallClock:
@@ -73,13 +82,15 @@ class _CallClock:
         return left
 
 
-class ServerClient:
-    """Async JSON-lines client (one outstanding request at a time).
+class _ClientCore:
+    """Everything the two clients share; performs no I/O itself.
 
-    ``retry=None`` (or :data:`~repro.server.retry.NO_RETRY`) restores
-    PR 9's fail-fast behaviour; ``deadline`` is the default per-call
-    wall-clock budget (None = wait forever, the load-harness default
-    since terminal waits are legitimately long)."""
+    ``retry=None`` uses the default :class:`RetryPolicy`
+    (:data:`~repro.retry.NO_RETRY` fails fast); ``deadline`` is the
+    default per-call wall-clock budget (None = wait forever, the
+    load-harness default since terminal waits are legitimately long).
+    A shell provides ``call``, ``_request``, ``_drive``, ``_abort``
+    and the I/O steps ``_open``, ``_send``, ``_readline``, ``_sleep``."""
 
     def __init__(self, host: str, port: int, *,
                  client_id: str | None = None,
@@ -97,6 +108,145 @@ class ServerClient:
         self.retries = 0
         self._rng = random.Random(f"retry:{self.client_id}")
         self._seq = 0
+
+    def next_seq(self) -> int:
+        """Allocate an idempotency sequence number (also for callers
+        that stamp their own requests, like the ingest spill ring)."""
+        self._seq += 1
+        return self._seq
+
+    def _stamp(self, doc: dict) -> dict:
+        doc["client"] = self.client_id
+        doc["seq"] = self.next_seq()
+        return doc
+
+    # -- verbs (awaitables on the async client) --------------------------------
+
+    def ping(self, *, deadline: float | None = None):
+        return self._request({"op": "ping"}, deadline)
+
+    def status(self, *, deadline: float | None = None):
+        return self._request({"op": "status"}, deadline)
+
+    def submit(self, request: SessionRequest, *, wait: bool = True,
+               deadline: float | None = None):
+        """Submit one session; with ``wait`` (default) blocks until
+        the terminal state and returns the full session document."""
+        doc = request_to_dict(request)
+        doc["op"] = "submit"
+        doc["wait"] = wait
+        return self._request(self._stamp(doc), deadline)
+
+    def wait(self, node: str, session_id: int, *,
+             deadline: float | None = None):
+        return self._request(
+            {"op": "wait", "node": node, "session": session_id}, deadline)
+
+    def cancel(self, node: str, session_id: int, *,
+               deadline: float | None = None):
+        return self._request(self._stamp(
+            {"op": "cancel", "node": node, "session": session_id}),
+            deadline)
+
+    # -- calls and attempts as I/O steps ---------------------------------------
+    #
+    # A generator yields ``(io_step, arg)``; the shell's ``_drive``
+    # runs the step and sends back its result (a read's line) or
+    # throws in its exception.
+
+    def _refuse(self) -> None:
+        if self.chaos is not None and self.chaos.refuse_connect():
+            raise ChaosError("connection refused (injected)",
+                             kind="refused")
+
+    def _attempt(self, doc: dict, clock: _CallClock):
+        """One bare attempt, no retries."""
+        return self._drive(self._exchange(doc, clock))
+
+    def _call(self, doc: dict, deadline: float | None):
+        """One logical call: attempts under the retry policy.  Error
+        replies the server marked retryable are retried in here, so a
+        returned error reply is always terminal."""
+        clock = _CallClock(deadline if deadline is not None
+                           else self.deadline)
+        attempt = 0
+        while True:
+            try:
+                return (yield from self._exchange(doc, clock))
+            except Exception as exc:
+                if not retryable(exc):     # an exceeded deadline too
+                    raise
+                attempt += 1
+                self.retries += 1
+                _trace.incr("server.retries")
+                self._abort()
+                if attempt >= self.retry.max_attempts:
+                    raise ServerError(
+                        f"retries exhausted after {attempt} "
+                        f"attempt(s): {exc}",
+                        code="retries-exhausted") from exc
+                clock.remaining()
+                pause = self.retry.delay(attempt - 1, self._rng)
+            yield self._sleep, pause
+
+    def _exchange(self, doc: dict, clock: _CallClock):
+        """One attempt; returns the decoded reply."""
+        yield self._open, clock.remaining()
+        data = json.dumps(doc).encode() + b"\n"
+        ch = self.chaos
+        fate = _chaos.DELIVER
+        if ch is not None:
+            pause = ch.delay()
+            if pause:
+                yield self._sleep, pause
+            fate = ch.request_fate()
+            if fate == _chaos.TORN_REQUEST:
+                yield self._send, ch.tear(data)
+                raise ChaosError("connection lost mid-request "
+                                 "(injected)", kind="torn-request")
+            if fate == _chaos.DUPLICATE:
+                data = data + data
+        yield self._send, data
+        if ch is not None:
+            reply_fate = ch.reply_fate()
+            if reply_fate == _chaos.DROP_REPLY:
+                raise ChaosError("connection lost before reply "
+                                 "(injected)", kind="dropped-reply")
+            if reply_fate == _chaos.TORN_REPLY:
+                yield from self._read(clock)   # keep stream cadence
+                raise ChaosError("reply line torn mid-JSON "
+                                 "(injected)", kind="torn-reply")
+        line = yield from self._read(clock)
+        if fate == _chaos.DUPLICATE:
+            # The duplicate delivery produced a second reply (or a
+            # dedup replay); it must leave the stream before the next
+            # request keeps order.
+            yield from self._read(clock)
+        try:
+            reply = json.loads(line)
+        except ValueError:
+            raise ServerError("torn reply: response line is not JSON",
+                              code="torn-reply", retryable=True) \
+                from None
+        if not reply.get("ok") and reply.get("retryable"):
+            raise _reply_error(reply)
+        return reply
+
+    def _read(self, clock: _CallClock):
+        line = yield self._readline, clock.remaining()
+        if not line:
+            raise ServerError("server closed the connection",
+                              code="connection-lost", retryable=True)
+        return line
+
+
+class ServerClient(_ClientCore):
+    """Async JSON-lines client (one outstanding request at a time)."""
+
+    _sleep = staticmethod(asyncio.sleep)
+
+    def __init__(self, host: str, port: int, **options):
+        super().__init__(host, port, **options)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
@@ -109,9 +259,7 @@ class ServerClient:
         await self.close()
 
     async def connect(self) -> None:
-        if self.chaos is not None and self.chaos.refuse_connect():
-            raise ChaosError("connection refused (injected)",
-                             kind="refused")
+        self._refuse()
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
 
@@ -129,186 +277,68 @@ class ServerClient:
                 pass
 
     def _abort(self) -> None:
-        """Sever the connection without ceremony (chaos and retry
-        paths; the next attempt reconnects)."""
+        """Sever the connection without ceremony (the next attempt
+        reconnects)."""
         writer, self._writer, self._reader = self._writer, None, None
         if writer is not None:
             transport = writer.transport
             if transport is not None:
                 transport.abort()
 
-    # -- the retrying call loop ------------------------------------------------
+    async def _open(self, remaining: float | None) -> None:
+        if self._writer is None:
+            opening = self.connect()
+            await (opening if remaining is None
+                   else asyncio.wait_for(opening, remaining))
+
+    async def _send(self, data: bytes) -> None:
+        self._writer.write(data)
+        await self._writer.drain()
+
+    async def _readline(self, remaining: float | None) -> bytes:
+        line = self._reader.readline()
+        return await (line if remaining is None
+                      else asyncio.wait_for(line, remaining))
+
+    async def _drive(self, steps):
+        result = error = None
+        while True:
+            try:
+                io, arg = steps.send(result) if error is None \
+                    else steps.throw(error)
+            except StopIteration as done:
+                return done.value
+            try:
+                result, error = await io(arg), None
+            except Exception as exc:
+                result, error = None, exc
 
     async def call(self, doc: dict, *,
                    deadline: float | None = None) -> dict:
-        """One request/response round trip (serialized per client —
-        the protocol matches replies to requests by order), retried
-        under the client's policy.  Returns the reply object; error
-        replies the server marked retryable are retried in here, so a
-        returned error reply is always terminal."""
-        clock = _CallClock(deadline if deadline is not None
-                           else self.deadline)
-        attempt = 0
+        """One request/response round trip, retried under the
+        client's policy (serialized per client — the protocol matches
+        replies to requests by order).  Returns the reply object."""
         async with self._lock:
-            while True:
-                try:
-                    return await self._attempt(doc, clock)
-                except Exception as exc:
-                    if isinstance(exc, ServerError) \
-                            and exc.code == "deadline-exceeded":
-                        raise
-                    if not retryable(exc):
-                        raise
-                    attempt += 1
-                    self.retries += 1
-                    _trace.incr("server.retries")
-                    self._abort()
-                    if attempt >= self.retry.max_attempts:
-                        raise ServerError(
-                            f"retries exhausted after {attempt} "
-                            f"attempt(s): {exc}",
-                            code="retries-exhausted") from exc
-                    clock.remaining()
-                    await asyncio.sleep(
-                        self.retry.delay(attempt - 1, self._rng))
+            return await self._drive(self._call(doc, deadline))
 
-    async def _attempt(self, doc: dict, clock: _CallClock) -> dict:
-        if self._writer is None:
-            remaining = clock.remaining()
-            if remaining is None:
-                await self.connect()
-            else:
-                await asyncio.wait_for(self.connect(), remaining)
-        data = json.dumps(doc).encode() + b"\n"
-        ch = self.chaos
-        fate = _chaos.DELIVER
-        if ch is not None:
-            pause = ch.delay()
-            if pause:
-                await asyncio.sleep(pause)
-            fate = ch.request_fate()
-            if fate == _chaos.TORN_REQUEST:
-                self._writer.write(ch.tear(data))
-                await self._writer.drain()
-                self._abort()
-                raise ChaosError("connection lost mid-request "
-                                 "(injected)", kind="torn-request")
-            if fate == _chaos.DUPLICATE:
-                data = data + data
-        self._writer.write(data)
-        await self._writer.drain()
-        if ch is not None:
-            reply_fate = ch.reply_fate()
-            if reply_fate == _chaos.DROP_REPLY:
-                self._abort()
-                raise ChaosError("connection lost before reply "
-                                 "(injected)", kind="dropped-reply")
-            if reply_fate == _chaos.TORN_REPLY:
-                await self._readline(clock)   # keep stream cadence
-                self._abort()
-                raise ChaosError("reply line torn mid-JSON "
-                                 "(injected)", kind="torn-reply")
-        line = await self._readline(clock)
-        if fate == _chaos.DUPLICATE:
-            # The duplicate delivery produced a second reply (or a
-            # dedup replay); it must leave the stream before the next
-            # request keeps order.
-            await self._readline(clock)
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ServerError("torn reply: response line is not JSON",
-                              code="torn-reply", retryable=True) \
-                from None
-        if not reply.get("ok") and reply.get("retryable"):
-            raise _reply_error(reply)
-        return reply
-
-    async def _readline(self, clock: _CallClock) -> bytes:
-        remaining = clock.remaining()
-        if remaining is None:
-            line = await self._reader.readline()
-        else:
-            line = await asyncio.wait_for(self._reader.readline(),
-                                          remaining)
-        if not line:
-            raise ServerError("server closed the connection",
-                              code="connection-lost", retryable=True)
-        return line
-
-    # -- verbs -----------------------------------------------------------------
-
-    def _stamp(self, doc: dict) -> dict:
-        """Attach the idempotency key: stamped once per logical
-        operation, stable across every retry of it."""
-        self._seq += 1
-        doc["client"] = self.client_id
-        doc["seq"] = self._seq
-        return doc
-
-    async def ping(self, *, deadline: float | None = None) -> dict:
-        return self._checked(await self.call({"op": "ping"},
-                                             deadline=deadline))
-
-    async def status(self, *, deadline: float | None = None) -> dict:
-        return self._checked(await self.call({"op": "status"},
-                                             deadline=deadline))
-
-    async def submit(self, request: SessionRequest, *,
-                     wait: bool = True,
-                     deadline: float | None = None) -> dict:
-        """Submit one session; with ``wait`` (default) blocks until
-        the terminal state and returns the full session document."""
-        doc = request_to_dict(request)
-        doc["op"] = "submit"
-        doc["wait"] = wait
-        return self._checked(await self.call(self._stamp(doc),
-                                             deadline=deadline))
-
-    async def wait(self, node: str, session_id: int, *,
-                   deadline: float | None = None) -> dict:
-        return self._checked(await self.call(
-            {"op": "wait", "node": node, "session": session_id},
-            deadline=deadline))
-
-    async def cancel(self, node: str, session_id: int, *,
-                     deadline: float | None = None) -> dict:
-        return self._checked(await self.call(self._stamp(
-            {"op": "cancel", "node": node, "session": session_id}),
-            deadline=deadline))
-
-    @staticmethod
-    def _checked(reply: dict) -> dict:
-        if not reply.get("ok"):
-            raise _reply_error(reply)
-        return reply
+    async def _request(self, doc: dict, deadline: float | None) -> dict:
+        return _checked(await self.call(doc, deadline=deadline))
 
 
-class SyncServerClient:
+class SyncServerClient(_ClientCore):
     """Blocking socket client for synchronous call sites — same
     retry/deadline/idempotency/chaos contract as the async client.
 
     ``timeout`` caps a single socket operation; ``deadline`` caps a
-    whole logical call across all its retries."""
+    whole logical call across all its retries.  Each connect, attempt
+    and read runs under ``min(remaining deadline, timeout)``."""
+
+    _sleep = staticmethod(time.sleep)
 
     def __init__(self, host: str, port: int, *,
-                 timeout: float | None = 30.0,
-                 client_id: str | None = None,
-                 retry: RetryPolicy | None = None,
-                 deadline: float | None = None,
-                 chaos: ChaosPlan | None = None):
-        self.host = host
-        self.port = port
+                 timeout: float | None = 30.0, **options):
+        super().__init__(host, port, **options)
         self.timeout = timeout
-        self.client_id = client_id if client_id is not None \
-            else _default_client_id()
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.deadline = deadline
-        self.chaos = chaos.arm(self.client_id) \
-            if chaos is not None and chaos.active else None
-        self.retries = 0
-        self._rng = random.Random(f"retry:{self.client_id}")
-        self._seq = 0
         self._sock: socket.socket | None = None
         self._file = None
 
@@ -320,12 +350,7 @@ class SyncServerClient:
         self.close()
 
     def connect(self) -> None:
-        if self.chaos is not None and self.chaos.refuse_connect():
-            raise ChaosError("connection refused (injected)",
-                             kind="refused")
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout)
-        self._file = self._sock.makefile("rwb")
+        self._open(None)
 
     def close(self) -> None:
         """Close file and socket; exception-safe — a failing buffered
@@ -342,137 +367,56 @@ class SyncServerClient:
         finally:
             sock.close()
 
-    # -- the retrying call loop ------------------------------------------------
+    _abort = close
+
+    def _timeout(self, remaining: float | None) -> float | None:
+        if remaining is None:
+            return self.timeout
+        return remaining if self.timeout is None \
+            else min(remaining, self.timeout)
+
+    def _open(self, remaining: float | None) -> None:
+        """Connect if needed; either way the socket timeout becomes
+        this attempt's budget, never one left over from an earlier
+        call's deadline."""
+        if self._sock is not None:
+            self._sock.settimeout(self._timeout(remaining))
+            return
+        self._refuse()
+        self._sock = socket.create_connection(
+            (self.host, self.port), timeout=self._timeout(remaining))
+        self._file = self._sock.makefile("rwb")
+
+    def _send(self, data: bytes) -> None:
+        self._file.write(data)
+        self._file.flush()
+
+    def _readline(self, remaining: float | None) -> bytes:
+        self._sock.settimeout(self._timeout(remaining))
+        try:
+            return self._file.readline()
+        except socket.timeout:
+            raise TimeoutError("timed out waiting for reply") from None
+
+    def _drive(self, steps):
+        result = error = None
+        while True:
+            try:
+                io, arg = steps.send(result) if error is None \
+                    else steps.throw(error)
+            except StopIteration as done:
+                return done.value
+            try:
+                result, error = io(arg), None
+            except Exception as exc:
+                result, error = None, exc
 
     def call(self, doc: dict, *,
              deadline: float | None = None) -> dict:
-        clock = _CallClock(deadline if deadline is not None
-                           else self.deadline)
-        attempt = 0
-        while True:
-            try:
-                return self._attempt(doc, clock)
-            except Exception as exc:
-                if isinstance(exc, ServerError) \
-                        and exc.code == "deadline-exceeded":
-                    raise
-                if not retryable(exc):
-                    raise
-                attempt += 1
-                self.retries += 1
-                _trace.incr("server.retries")
-                self.close()
-                if attempt >= self.retry.max_attempts:
-                    raise ServerError(
-                        f"retries exhausted after {attempt} "
-                        f"attempt(s): {exc}",
-                        code="retries-exhausted") from exc
-                clock.remaining()
-                time.sleep(self.retry.delay(attempt - 1, self._rng))
+        return self._drive(self._call(doc, deadline))
 
-    def _attempt(self, doc: dict, clock: _CallClock) -> dict:
-        if self._sock is None:
-            clock.remaining()
-            self.connect()
-        data = json.dumps(doc).encode() + b"\n"
-        ch = self.chaos
-        fate = _chaos.DELIVER
-        if ch is not None:
-            pause = ch.delay()
-            if pause:
-                time.sleep(pause)
-            fate = ch.request_fate()
-            if fate == _chaos.TORN_REQUEST:
-                self._file.write(ch.tear(data))
-                self._file.flush()
-                self.close()
-                raise ChaosError("connection lost mid-request "
-                                 "(injected)", kind="torn-request")
-            if fate == _chaos.DUPLICATE:
-                data = data + data
-        self._file.write(data)
-        self._file.flush()
-        if ch is not None:
-            reply_fate = ch.reply_fate()
-            if reply_fate == _chaos.DROP_REPLY:
-                self.close()
-                raise ChaosError("connection lost before reply "
-                                 "(injected)", kind="dropped-reply")
-            if reply_fate == _chaos.TORN_REPLY:
-                self._readline(clock)
-                self.close()
-                raise ChaosError("reply line torn mid-JSON "
-                                 "(injected)", kind="torn-reply")
-        line = self._readline(clock)
-        if fate == _chaos.DUPLICATE:
-            self._readline(clock)
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ServerError("torn reply: response line is not JSON",
-                              code="torn-reply", retryable=True) \
-                from None
-        if not reply.get("ok") and reply.get("retryable"):
-            raise _reply_error(reply)
-        return reply
-
-    def _readline(self, clock: _CallClock) -> bytes:
-        remaining = clock.remaining()
-        if remaining is not None:
-            self._sock.settimeout(min(remaining, self.timeout)
-                                  if self.timeout is not None
-                                  else remaining)
-        try:
-            line = self._file.readline()
-        except socket.timeout:
-            raise TimeoutError("timed out waiting for reply") from None
-        if not line:
-            raise ServerError("server closed the connection",
-                              code="connection-lost", retryable=True)
-        return line
-
-    # -- verbs -----------------------------------------------------------------
-
-    def _stamp(self, doc: dict) -> dict:
-        self._seq += 1
-        doc["client"] = self.client_id
-        doc["seq"] = self._seq
-        return doc
-
-    def next_seq(self) -> int:
-        """Allocate an idempotency sequence number for a caller that
-        stamps its own requests (the ingest sink's spill ring stamps
-        each batch once so a drained retry still deduplicates)."""
-        self._seq += 1
-        return self._seq
-
-    def ping(self, *, deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call({"op": "ping"},
-                                               deadline=deadline))
-
-    def status(self, *, deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call({"op": "status"},
-                                               deadline=deadline))
-
-    def submit(self, request: SessionRequest, *, wait: bool = True,
-               deadline: float | None = None) -> dict:
-        doc = request_to_dict(request)
-        doc["op"] = "submit"
-        doc["wait"] = wait
-        return ServerClient._checked(self.call(self._stamp(doc),
-                                               deadline=deadline))
-
-    def wait(self, node: str, session_id: int, *,
-             deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call(
-            {"op": "wait", "node": node, "session": session_id},
-            deadline=deadline))
-
-    def cancel(self, node: str, session_id: int, *,
-               deadline: float | None = None) -> dict:
-        return ServerClient._checked(self.call(self._stamp(
-            {"op": "cancel", "node": node, "session": session_id}),
-            deadline=deadline))
+    def _request(self, doc: dict, deadline: float | None) -> dict:
+        return _checked(self.call(doc, deadline=deadline))
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

@@ -19,6 +19,7 @@ from repro import trace as _trace
 from repro.agent.batch import AgentSample, SampleBatch
 from repro.agent.sinks import Sink
 from repro.errors import ServerError
+from repro.retry import retryable
 
 
 def _value_to_wire(value: float) -> float | str:
@@ -65,11 +66,8 @@ def batch_from_dict(doc: dict) -> SampleBatch:
 def _transport_failure(exc: BaseException) -> bool:
     """Did the batch fail to *reach* the server (breaker territory),
     as opposed to the server refusing it (drop territory)?"""
-    if isinstance(exc, ServerError):
-        return exc.retryable or exc.code in ("retries-exhausted",
-                                             "deadline-exceeded")
-    return isinstance(exc, (ConnectionError, OSError, EOFError,
-                            TimeoutError))
+    return retryable(exc) or (isinstance(exc, ServerError) and exc.code
+                              in ("retries-exhausted", "deadline-exceeded"))
 
 
 class ServerIngestSink(Sink):

@@ -28,10 +28,10 @@ from repro.agent.fleet import NodeSpec
 from repro.core.perfctr.groups import groups_for
 from repro.errors import ServerError
 from repro.hw.arch import create_machine
+from repro.retry import RetryPolicy
 from repro.server.chaos import ChaosPlan
 from repro.server.client import ServerClient
 from repro.server.protocol import ProtocolServer, recover_protocol
-from repro.server.retry import RetryPolicy
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
 from repro.server.wal import ServerWal

@@ -34,7 +34,6 @@ from enum import Enum
 
 from repro import trace as _trace
 from repro.agent.scheduler import SyntheticLoad
-from repro.core.perfctr.counters import RetryPolicy
 from repro.core.perfctr.groups import groups_for
 from repro.core.perfctr.measurement import (LikwidPerfCtr,
                                             MeasurementResult,
@@ -46,13 +45,8 @@ from repro.oskern.locks import FairWaitQueue, SocketLockTable
 from repro.oskern.msr_driver import FaultPlan
 from repro.oskern.proc import SimProcessTable
 from repro.oskern.recovery import RecoveryEngine, RecoveryReport
+from repro.retry import SOAK_RETRIES
 from repro.trace.metrics import Histogram
-
-#: Backoff-free retries: the server absorbs injected transient faults
-#: across hundreds of sessions; real sleeps would only slow the
-#: simulation (same policy as the agent's fleet soak).
-SERVER_RETRIES = RetryPolicy(max_attempts=8, backoff_base=0.0,
-                             backoff_cap=0.0)
 
 
 class SessionState(Enum):
@@ -497,7 +491,7 @@ class NodeScheduler:
         sess.epoch = epoch
         lease = SessionLease(epoch=epoch)
         perfctr = LikwidPerfCtr(self.machine, backend=backend,
-                                retry_policy=SERVER_RETRIES)
+                                retry_policy=SOAK_RETRIES)
         try:
             psession = perfctr.session(list(req.cpus), req.group,
                                        lease=lease)

@@ -25,7 +25,8 @@ from repro.core.perfctr.measurement import (LikwidPerfCtr,
                                             MeasurementResult)
 from repro.hw.arch import create_machine
 from repro.oskern.access import open_backend
-from repro.server.scheduler import SERVER_RETRIES, SessionRequest
+from repro.retry import SOAK_RETRIES
+from repro.server.scheduler import SessionRequest
 
 
 def sockets_of(spec, cpus) -> tuple[int, ...]:
@@ -40,7 +41,7 @@ def run_standalone(request: SessionRequest,
     machine = create_machine(arch)
     backend = open_backend("msr", machine)
     perfctr = LikwidPerfCtr(machine, backend=backend,
-                            retry_policy=SERVER_RETRIES)
+                            retry_policy=SOAK_RETRIES)
     cpus = list(request.cpus)
     workload = SyntheticLoad(machine, cpus, seed=request.seed,
                              sockets=sockets_of(machine.spec, cpus))

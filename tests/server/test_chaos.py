@@ -15,12 +15,12 @@ import pytest
 
 from repro.agent.fleet import NodeSpec
 from repro.errors import ChaosError
+from repro.retry import RetryPolicy
 from repro.server.chaos import (DELIVER, DUPLICATE, TORN_REQUEST,
                                 ChaosPlan)
 from repro.server.client import ServerClient
 from repro.server.loadtest import LoadTestConfig, run_load_test
 from repro.server.protocol import ProtocolServer
-from repro.server.retry import RetryPolicy
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
 

@@ -15,10 +15,10 @@ import pytest
 
 from repro.agent.fleet import NodeSpec
 from repro.errors import ServerError
+from repro.retry import (NO_RETRY, RetryPolicy, retryable,
+                         TRANSPORT_ERRORS)
 from repro.server.client import ServerClient, SyncServerClient
 from repro.server.protocol import ProtocolServer
-from repro.server.retry import (NO_RETRY, RetryPolicy, retryable,
-                                TRANSPORT_ERRORS)
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
 
@@ -282,6 +282,55 @@ class TestDeadlines:
             client.close()
             listener.close()
 
+    def test_sync_deadline_does_not_leak_into_next_call(self):
+        """Regression: a deadline-bounded call left its shortened
+        socket timeout behind, so the next call without a deadline
+        timed out on a slow (0.3 s) reply, reconnected and re-sent
+        the request."""
+        seen = []
+
+        async def slow(reader, writer):
+            while line := await reader.readline():
+                seen.append(line)
+                if len(seen) > 1:
+                    await asyncio.sleep(0.3)
+                writer.write(b'{"ok": true, "pong": 1}\n')
+                await writer.drain()
+
+        async def body():
+            server = await asyncio.start_server(slow, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()
+
+            def check():
+                client = SyncServerClient(host, port)
+                try:
+                    client.call({"op": "ping"}, deadline=0.1)
+                    assert client.call({"op": "ping"})["ok"]
+                    return client.retries
+                finally:
+                    client.close()
+            try:
+                return await asyncio.to_thread(check)
+            finally:
+                server.close()
+                await server.wait_closed()
+        assert asyncio.run(body()) == 0
+        assert len(seen) == 2
+
+    def test_sync_connect_honours_the_deadline(self, monkeypatch):
+        timeouts = []
+
+        def refusing(address, timeout=None):
+            timeouts.append(timeout)
+            raise ConnectionRefusedError("refused")
+        monkeypatch.setattr(socket, "create_connection", refusing)
+        client = SyncServerClient("127.0.0.1", 1, timeout=30.0,
+                                  retry=NO_RETRY)
+        with pytest.raises(ServerError) as exc:
+            client.call({"op": "ping"}, deadline=0.5)
+        assert exc.value.code == "retries-exhausted"
+        assert len(timeouts) == 1 and timeouts[0] <= 0.5
+
 
 class TestRetryPolicy:
     def test_delay_grows_and_caps(self):
@@ -301,6 +350,15 @@ class TestRetryPolicy:
         assert a == b                       # same rng, same jitter
         for delay in a:
             assert 0.04 <= delay <= 0.04 * 1.5
+
+    def test_jitter_free_delay_leaves_rng_untouched(self):
+        policy = RetryPolicy(backoff_base=0.01, backoff_cap=1.0,
+                             jitter=0.0)
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert policy.delay(3, rng) == pytest.approx(0.08)
+        assert policy.delay(3) == policy.delay(3, rng)
+        assert rng.getstate() == state
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,9 +15,9 @@ import asyncio
 import pytest
 
 from repro.agent.fleet import NodeSpec
+from repro.retry import RetryPolicy
 from repro.server.client import ServerClient
 from repro.server.protocol import ProtocolServer, recover_protocol
-from repro.server.retry import RetryPolicy
 from repro.server.scheduler import SessionRequest
 from repro.server.server import ReproServer
 from repro.server.wal import K_GRANT, ServerWal
